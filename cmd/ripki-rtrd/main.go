@@ -94,8 +94,9 @@ func main() {
 		defer mln.Close()
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", reg.Handler())
+		msrv := &http.Server{Handler: mux, ReadHeaderTimeout: obs.ReadHeaderTimeout}
 		go func() {
-			if err := http.Serve(mln, mux); err != nil {
+			if err := msrv.Serve(mln); err != nil {
 				log.Printf("metrics listener: %v", err)
 			}
 		}()

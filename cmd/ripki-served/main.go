@@ -218,7 +218,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	srv := &http.Server{Handler: d.handler}
+	srv := &http.Server{Handler: d.handler, ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	select {

@@ -1,10 +1,77 @@
+// Package bgp holds the BGP-4 path attributes (RFC 4271) that a route
+// collector's RIB and MRT dumps carry, and origin extraction from them.
+// The attribute codec covers ORIGIN, AS_PATH with 4-octet ASNs (RFC
+// 6793), NEXT_HOP, and the MP-BGP reach/unreach attributes that carry
+// IPv6 (RFC 4760). RouteEvent is the unit routers and RIBs exchange.
+//
+// The paper derives each route's origin AS as "the right most ASN in
+// the AS path" and excludes AS_SET routes; OriginAS implements exactly
+// that rule.
 package bgp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/netip"
 )
+
+// Path-attribute type codes.
+const (
+	AttrOrigin        = 1
+	AttrASPath        = 2
+	AttrNextHop       = 3
+	AttrMPReachNLRI   = 14
+	AttrMPUnreachNLRI = 15
+)
+
+// ORIGIN attribute values.
+const (
+	OriginIGP        = 0
+	OriginEGP        = 1
+	OriginIncomplete = 2
+)
+
+// AS_PATH segment types.
+const (
+	SegmentSet      = 1
+	SegmentSequence = 2
+)
+
+// AFI/SAFI for MP-BGP.
+const (
+	AFIIPv6     = 2
+	SAFIUnicast = 1
+)
+
+// attribute flag bits.
+const (
+	flagOptional   = 0x80
+	flagTransitive = 0x40
+	flagExtended   = 0x10
+)
+
+// Segment is one AS_PATH segment.
+type Segment struct {
+	Type uint8 // SegmentSet or SegmentSequence
+	ASNs []uint32
+}
+
+// RouteEvent is one announcement or withdrawal, flattened to the
+// granularity the RIB consumes.
+type RouteEvent struct {
+	// Peer identifies the session that delivered the route.
+	PeerAS uint32
+	PeerID netip.Addr
+	// Prefix is the affected route.
+	Prefix netip.Prefix
+	// Withdraw is true for withdrawals; Path and NextHop are then empty.
+	Withdraw bool
+	// Path is the AS_PATH as received.
+	Path []Segment
+	// NextHop is the protocol next hop (IPv4 or IPv6).
+	NextHop netip.Addr
+}
 
 // PathAttrs is the attribute set attached to one RIB entry: the subset
 // of UPDATE attributes that MRT TABLE_DUMP_V2 RIB records carry.
@@ -12,6 +79,19 @@ type PathAttrs struct {
 	Origin  uint8
 	ASPath  []Segment
 	NextHop netip.Addr // IPv4 → NEXT_HOP, IPv6 → MP_REACH next hop
+}
+
+func appendAttr(dst []byte, flags, typ uint8, body []byte) []byte {
+	if len(body) > 255 {
+		flags |= flagExtended
+	}
+	dst = append(dst, flags, typ)
+	if flags&flagExtended != 0 {
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(body)))
+	} else {
+		dst = append(dst, byte(len(body)))
+	}
+	return append(dst, body...)
 }
 
 // EncodePathAttrs renders a path-attribute block as it appears inside
@@ -26,8 +106,11 @@ func EncodePathAttrs(a PathAttrs) ([]byte, error) {
 		}
 		pathBody = append(pathBody, seg.Type, byte(len(seg.ASNs)))
 		for _, asn := range seg.ASNs {
-			pathBody = append(pathBody, byte(asn>>24), byte(asn>>16), byte(asn>>8), byte(asn))
+			pathBody = binary.BigEndian.AppendUint32(pathBody, asn)
 		}
+	}
+	if len(pathBody) > 65535 {
+		return nil, errors.New("bgp: AS_PATH overflows the attribute length")
 	}
 	attrs = appendAttr(attrs, flagTransitive, AttrASPath, pathBody)
 	switch {
@@ -35,9 +118,9 @@ func EncodePathAttrs(a PathAttrs) ([]byte, error) {
 		nh := a.NextHop.As4()
 		attrs = appendAttr(attrs, flagTransitive, AttrNextHop, nh[:])
 	case a.NextHop.Is6():
-		// Reuse the UPDATE MP_REACH layout with an empty NLRI so one
-		// parser serves both: AFI(2), SAFI(1), next-hop length(1),
-		// next hop, reserved(1).
+		// The UPDATE MP_REACH layout with an empty NLRI, so one parser
+		// serves both: AFI(2), SAFI(1), next-hop length(1), next hop,
+		// reserved(1).
 		var b []byte
 		b = append(b, 0, AFIIPv6, SAFIUnicast, 16)
 		nh := a.NextHop.As16()
@@ -51,15 +134,138 @@ func EncodePathAttrs(a PathAttrs) ([]byte, error) {
 }
 
 // ParsePathAttrs decodes a path-attribute block produced by
-// EncodePathAttrs (or extracted from an UPDATE).
-func ParsePathAttrs(buf []byte) (PathAttrs, error) {
-	var up Update
-	if err := parseAttrs(buf, &up); err != nil {
-		return PathAttrs{}, err
+// EncodePathAttrs (or extracted from an UPDATE). Unknown attributes are
+// tolerated; the NLRI inside MP_REACH/MP_UNREACH is checked for
+// well-formedness and then dropped. An MP_REACH next hop takes
+// precedence over NEXT_HOP.
+func ParsePathAttrs(attrs []byte) (PathAttrs, error) {
+	var a PathAttrs
+	var mpNextHop netip.Addr
+	for len(attrs) > 0 {
+		if len(attrs) < 3 {
+			return PathAttrs{}, errors.New("bgp: truncated attribute header")
+		}
+		flags, typ := attrs[0], attrs[1]
+		var alen, hdr int
+		if flags&flagExtended != 0 {
+			if len(attrs) < 4 {
+				return PathAttrs{}, errors.New("bgp: truncated extended attribute header")
+			}
+			alen, hdr = int(binary.BigEndian.Uint16(attrs[2:4])), 4
+		} else {
+			alen, hdr = int(attrs[2]), 3
+		}
+		if len(attrs) < hdr+alen {
+			return PathAttrs{}, errors.New("bgp: attribute overruns message")
+		}
+		val := attrs[hdr : hdr+alen]
+		attrs = attrs[hdr+alen:]
+		switch typ {
+		case AttrOrigin:
+			if len(val) != 1 {
+				return PathAttrs{}, errors.New("bgp: bad ORIGIN length")
+			}
+			a.Origin = val[0]
+		case AttrASPath:
+			for len(val) > 0 {
+				if len(val) < 2 {
+					return PathAttrs{}, errors.New("bgp: truncated AS_PATH segment")
+				}
+				styp, n := val[0], int(val[1])
+				if styp != SegmentSet && styp != SegmentSequence {
+					return PathAttrs{}, fmt.Errorf("bgp: unknown AS_PATH segment type %d", styp)
+				}
+				if len(val) < 2+4*n {
+					return PathAttrs{}, errors.New("bgp: AS_PATH segment overruns")
+				}
+				seg := Segment{Type: styp, ASNs: make([]uint32, n)}
+				for i := 0; i < n; i++ {
+					seg.ASNs[i] = binary.BigEndian.Uint32(val[2+4*i:])
+				}
+				a.ASPath = append(a.ASPath, seg)
+				val = val[2+4*n:]
+			}
+		case AttrNextHop:
+			if len(val) != 4 {
+				return PathAttrs{}, errors.New("bgp: bad NEXT_HOP length")
+			}
+			a.NextHop = netip.AddrFrom4([4]byte(val))
+		case AttrMPReachNLRI:
+			if len(val) < 5 {
+				return PathAttrs{}, errors.New("bgp: MP_REACH too short")
+			}
+			afi := binary.BigEndian.Uint16(val[:2])
+			safi := val[2]
+			nhLen := int(val[3])
+			if afi != AFIIPv6 || safi != SAFIUnicast {
+				return PathAttrs{}, fmt.Errorf("bgp: unsupported AFI/SAFI %d/%d", afi, safi)
+			}
+			if len(val) < 4+nhLen+1 {
+				return PathAttrs{}, errors.New("bgp: MP_REACH next hop overruns")
+			}
+			if nhLen != 16 {
+				return PathAttrs{}, fmt.Errorf("bgp: MP_REACH next hop length %d unsupported", nhLen)
+			}
+			if err := checkNLRI(val[4+nhLen+1:]); err != nil {
+				return PathAttrs{}, err
+			}
+			mpNextHop = netip.AddrFrom16([16]byte(val[4:20]))
+		case AttrMPUnreachNLRI:
+			if len(val) < 3 {
+				return PathAttrs{}, errors.New("bgp: MP_UNREACH too short")
+			}
+			afi := binary.BigEndian.Uint16(val[:2])
+			safi := val[2]
+			if afi != AFIIPv6 || safi != SAFIUnicast {
+				return PathAttrs{}, fmt.Errorf("bgp: unsupported AFI/SAFI %d/%d", afi, safi)
+			}
+			if err := checkNLRI(val[3:]); err != nil {
+				return PathAttrs{}, err
+			}
+		}
 	}
-	a := PathAttrs{Origin: up.Origin, ASPath: up.ASPath, NextHop: up.NextHop}
-	if up.MPReach != nil {
-		a.NextHop = up.MPReach.NextHop
+	if mpNextHop.IsValid() {
+		a.NextHop = mpNextHop
 	}
 	return a, nil
+}
+
+// checkNLRI validates an IPv6 NLRI block: every prefix length is at
+// most 128, no prefix is truncated, and no prefix has host bits set.
+func checkNLRI(buf []byte) error {
+	for len(buf) > 0 {
+		bits := int(buf[0])
+		buf = buf[1:]
+		if bits > 128 {
+			return fmt.Errorf("bgp: NLRI prefix length %d exceeds family maximum 128", bits)
+		}
+		nbytes := (bits + 7) / 8
+		if len(buf) < nbytes {
+			return fmt.Errorf("bgp: truncated NLRI (need %d bytes, have %d)", nbytes, len(buf))
+		}
+		var raw [16]byte
+		copy(raw[:], buf[:nbytes])
+		buf = buf[nbytes:]
+		p := netip.PrefixFrom(netip.AddrFrom16(raw), bits)
+		if p.Masked() != p {
+			return fmt.Errorf("bgp: NLRI %v has host bits set", p)
+		}
+	}
+	return nil
+}
+
+// OriginAS returns the origin AS of a path: the last ASN of the final
+// AS_SEQUENCE segment. If the path ends in an AS_SET the origin is
+// ambiguous and ok is false — such routes are excluded from the study,
+// matching the paper ("entries with an AS_SET are excluded ... which is
+// why the function is deprecated with the deployment of RPKI").
+func OriginAS(path []Segment) (asn uint32, ok bool) {
+	if len(path) == 0 {
+		return 0, false
+	}
+	last := path[len(path)-1]
+	if last.Type != SegmentSequence || len(last.ASNs) == 0 {
+		return 0, false
+	}
+	return last.ASNs[len(last.ASNs)-1], true
 }

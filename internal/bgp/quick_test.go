@@ -7,67 +7,6 @@ import (
 	"testing/quick"
 )
 
-// Property: any UPDATE whose fields are structurally valid round-trips
-// through Encode → Decode.
-func TestQuickUpdateRoundTrip(t *testing.T) {
-	f := func(nlriRaw [][4]byte, bitsRaw []uint8, pathRaw []uint32, origin uint8, nh [4]byte) bool {
-		if len(nlriRaw) == 0 || len(nlriRaw) > 30 {
-			return true
-		}
-		up := &Update{Origin: origin % 3, NextHop: netip.AddrFrom4(nh)}
-		for i, a := range nlriRaw {
-			bits := 0
-			if i < len(bitsRaw) {
-				bits = int(bitsRaw[i]) % 33
-			}
-			up.NLRI = append(up.NLRI, netip.PrefixFrom(netip.AddrFrom4(a), bits).Masked())
-		}
-		if len(pathRaw) == 0 {
-			pathRaw = []uint32{64500}
-		}
-		if len(pathRaw) > 64 {
-			pathRaw = pathRaw[:64]
-		}
-		up.ASPath = []Segment{{Type: SegmentSequence, ASNs: pathRaw}}
-		wire, err := Encode(nil, up)
-		if err != nil {
-			// Oversized messages may legitimately fail; nothing to check.
-			return true
-		}
-		got, n, err := Decode(wire)
-		if err != nil || n != len(wire) {
-			return false
-		}
-		u := got.(*Update)
-		return reflect.DeepEqual(u.NLRI, up.NLRI) &&
-			reflect.DeepEqual(u.ASPath, up.ASPath) &&
-			u.NextHop == up.NextHop && u.Origin == up.Origin
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: OPEN round-trips for every ASN and hold time.
-func TestQuickOpenRoundTrip(t *testing.T) {
-	f := func(asn uint32, hold uint16, id [4]byte) bool {
-		in := &Open{ASN: asn, HoldTime: hold, ID: netip.AddrFrom4(id)}
-		wire, err := Encode(nil, in)
-		if err != nil {
-			return false
-		}
-		got, _, err := Decode(wire)
-		if err != nil {
-			return false
-		}
-		o := got.(*Open)
-		return o.ASN == asn && o.HoldTime == hold && o.ID == in.ID
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: path attributes round-trip through the MRT-facing codec.
 func TestQuickPathAttrsRoundTrip(t *testing.T) {
 	f := func(origin uint8, asns []uint32, nh4 [4]byte, useV6 bool, nh16 [16]byte) bool {

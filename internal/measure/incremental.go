@@ -8,7 +8,6 @@ import (
 
 	"ripki/internal/alexa"
 	"ripki/internal/dns"
-	"ripki/internal/netutil"
 	"ripki/internal/radix"
 	"ripki/internal/rpki/vrp"
 )
@@ -16,20 +15,16 @@ import (
 // Incremental is a Dataset that stays current under world mutation at a
 // cost proportional to what changed, not to world size. The initial
 // build runs the full pipeline once (exactly Run) and additionally
-// records, per domain, every input the measurement consulted: the DNS
-// owner names resolved, the public addresses matched against the RIB,
-// and the covering prefixes validated against the VRP set. Those keys
-// are inverted into reverse indexes — hostname → domains and two radix
-// trees prefix → domains — so a mutation marks exactly the impacted
-// domains dirty:
+// records, per domain, every mutable input the measurement consulted: the DNS
+// owner names resolved and the covering prefixes validated against the
+// VRP set. Those keys are inverted into reverse indexes — hostname →
+// domains and a radix tree prefix → domains — so a mutation marks
+// exactly the impacted domains dirty:
 //
 //   - DirtyVRP(q): a VRP issued or revoked at q flips the RFC 6811
 //     outcome only for (prefix, origin) pairs at q or below (validation
 //     consults covering VRPs), so the pair-prefix subtree of q is
 //     marked;
-//   - DirtyRoute(p): a route inserted or withdrawn at p changes the
-//     covering-prefix set only for addresses inside p, so the address
-//     subtree of p is marked;
 //   - DirtyHost(name): a DNS record mutation affects the domains whose
 //     resolution touched that owner name (queried names are recorded
 //     even when they did not exist, so records appearing later still
@@ -43,6 +38,13 @@ import (
 // Dataset is byte-identical to a full Run against the mutated world.
 // The sim engine's CI determinism job enforces exactly that contract.
 //
+// The RIB must not change during the Incremental's lifetime: nothing
+// indexes the addresses matched against it, so a route insert or
+// withdraw would leave cached rows stale. The sim satisfies this by
+// construction — the world RIB is immutable at simulation time (routes
+// go only to the relying parties' routers) and every cloned world
+// shares it.
+//
 // Incremental is not safe for concurrent use; Refresh parallelises
 // internally just as Run does.
 type Incremental struct {
@@ -53,7 +55,6 @@ type Incremental struct {
 
 	hostIdx map[string]map[int]struct{}
 	pairIdx radix.Tree[map[int]struct{}]
-	addrIdx radix.Tree[map[int]struct{}]
 
 	dirty map[int]struct{}
 }
@@ -92,8 +93,7 @@ func (inc *Incremental) Dataset() *Dataset { return inc.ds }
 
 // SetVRPs swaps the validation source consulted by subsequent
 // refreshes. It does not mark anything dirty by itself: the caller is
-// responsible for a DirtyVRP per changed prefix (or DirtyAll when the
-// new set's relation to the old one is unknown).
+// responsible for a DirtyVRP per changed prefix.
 func (inc *Incremental) SetVRPs(set *vrp.Set) { inc.cfg.VRPs = set }
 
 // DirtyVRP marks the domains whose measurement validated a pair prefix
@@ -102,25 +102,10 @@ func (inc *Incremental) DirtyVRP(q netip.Prefix) {
 	inc.markSubtree(&inc.pairIdx, q)
 }
 
-// DirtyRoute marks the domains with a resolved public address inside p
-// — the set a RIB insert/withdraw at p can affect.
-func (inc *Incremental) DirtyRoute(p netip.Prefix) {
-	inc.markSubtree(&inc.addrIdx, p)
-}
-
 // DirtyHost marks the domains whose resolution consulted the given
 // owner name.
 func (inc *Incremental) DirtyHost(name string) {
 	for i := range inc.hostIdx[dns.CanonicalName(name)] {
-		inc.dirty[i] = struct{}{}
-	}
-}
-
-// DirtyAll marks every domain, degrading the next Refresh to a full
-// recompute — the escape hatch for mutations the caller cannot
-// attribute.
-func (inc *Incremental) DirtyAll() {
-	for i := range inc.entries {
 		inc.dirty[i] = struct{}{}
 	}
 }
@@ -205,9 +190,6 @@ func (inc *Incremental) index(i int, k domainKeys) {
 		}
 		m[i] = struct{}{}
 	}
-	for _, a := range k.addrs {
-		treeAdd(&inc.addrIdx, addrPrefix(a), i)
-	}
 	for _, p := range k.prefixes {
 		treeAdd(&inc.pairIdx, p, i)
 	}
@@ -221,9 +203,6 @@ func (inc *Incremental) unindex(i int, k domainKeys) {
 				delete(inc.hostIdx, h)
 			}
 		}
-	}
-	for _, a := range k.addrs {
-		treeRemove(&inc.addrIdx, addrPrefix(a), i)
 	}
 	for _, p := range k.prefixes {
 		treeRemove(&inc.pairIdx, p, i)
@@ -247,14 +226,4 @@ func treeRemove(t *radix.Tree[map[int]struct{}], p netip.Prefix, i int) {
 			t.Delete(p)
 		}
 	}
-}
-
-// addrPrefix lifts an address to the full-length canonical prefix the
-// address index is keyed by.
-func addrPrefix(a netip.Addr) netip.Prefix {
-	p := netip.PrefixFrom(a, a.BitLen())
-	if cp, err := netutil.Canonical(p); err == nil {
-		return cp
-	}
-	return p
 }

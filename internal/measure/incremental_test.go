@@ -2,15 +2,12 @@ package measure
 
 import (
 	"math/rand"
-	"net/netip"
 	"reflect"
 	"testing"
 
 	"ripki/internal/dns"
 	"ripki/internal/httparchive"
-	"ripki/internal/mrt"
 	"ripki/internal/netutil"
-	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
 	"ripki/internal/webworld"
 )
@@ -59,23 +56,6 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	reg.Add(dns.RR{Name: "ghost.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("193.0.6.99")})
 	check("nxdomain resurrect")
 
-	// dark.example gets routed: an address recorded as unreachable gains
-	// a covering route.
-	f.cfg.RIB.SetMutationHook(inc.DirtyRoute)
-	defer f.cfg.RIB.SetMutationHook(nil)
-	pk := f.cfg.RIB.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.0.0.2"), Addr: netutil.MustAddr("10.0.0.2"), ASN: 200})
-	if err := f.cfg.RIB.Insert(rib.Route{
-		Prefix: netutil.MustPrefix("203.0.112.0/24"), PeerIndex: pk,
-		Path: []ribSegment{{Type: 2, ASNs: []uint32{200, 64999}}}, NextHop: netutil.MustAddr("10.0.0.2"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	check("route appears")
-
-	// ...and unrouted again.
-	f.cfg.RIB.Withdraw(pk, netutil.MustPrefix("203.0.112.0/24"))
-	check("route withdrawn")
-
 	// CNAME repoint: cdnstyle's www chain now terminates on secure's
 	// address; chained owner names were recorded, so this must dirty it.
 	reg.Remove("cust.fastcdn.wld", dns.TypeCNAME)
@@ -87,16 +67,16 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	swapped.Add(vrp.VRP{Prefix: netutil.MustPrefix("203.0.114.0/24"), MaxLength: 24, ASN: 64500})
 	f.cfg.VRPs = swapped
 	inc.SetVRPs(swapped)
-	inc.DirtyAll()
+	inc.DirtyVRP(netutil.MustPrefix("203.0.114.0/24"))
 	check("set swap")
 }
 
 // TestIncrementalRandomInterleavings is the property test behind the
 // incremental contract: against a generated world, any seeded random
-// interleaving of ROA issues/revokes, route inserts/withdraws, and DNS
-// record mutations — with refreshes at arbitrary points — leaves the
-// incremental Dataset deeply equal to a full Run over the same mutated
-// world. Divergence here means a reverse index under-marked.
+// interleaving of ROA issues/revokes and DNS record mutations — with
+// refreshes at arbitrary points — leaves the incremental Dataset deeply
+// equal to a full Run over the same mutated world. Divergence here
+// means a reverse index under-marked.
 func TestIncrementalRandomInterleavings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("world generation in -short mode")
@@ -126,16 +106,12 @@ func runInterleaving(t *testing.T, w *webworld.World, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.RIB.SetMutationHook(inc.DirtyRoute)
-	defer w.RIB.SetMutationHook(nil)
 	w.Registry.SetMutationHook(inc.DirtyHost)
 	defer w.Registry.SetMutationHook(nil)
 
 	rnd := rand.New(rand.NewSource(seed))
 	routed := w.RoutedV4Prefixes()
 	entries := w.List.Entries()
-	pk := w.RIB.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.9.9.9"), Addr: netutil.MustAddr("10.9.9.9"), ASN: 65000})
-	leaked := map[netip.Prefix]bool{}
 
 	ops := []func(){
 		func() { // ROA flip, sometimes with a mismatching origin
@@ -154,25 +130,6 @@ func runInterleaving(t *testing.T, w *webworld.World, seed int64) {
 				set.Add(v)
 			}
 			inc.DirtyVRP(v.Prefix)
-		},
-		func() { // more-specific route leak flip
-			base := routed[rnd.Intn(len(routed))]
-			if base.Bits() >= 24 {
-				return
-			}
-			more := netip.PrefixFrom(base.Addr(), base.Bits()+1).Masked()
-			if leaked[more] {
-				w.RIB.Withdraw(pk, more)
-				leaked[more] = false
-				return
-			}
-			if err := w.RIB.Insert(rib.Route{
-				Prefix: more, PeerIndex: pk,
-				Path: []ribSegment{{Type: 2, ASNs: []uint32{65000, 64666}}}, NextHop: netutil.MustAddr("10.9.9.9"),
-			}); err != nil {
-				t.Fatal(err)
-			}
-			leaked[more] = true
 		},
 		func() { // A record flip on an apex or www name
 			name := entries[rnd.Intn(len(entries))].Domain

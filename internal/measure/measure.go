@@ -229,15 +229,15 @@ func Run(list *alexa.List, cfg Config) (*Dataset, error) {
 	return ds, nil
 }
 
-// domainKeys records everything one domain's measurement depended on:
-// the owner names whose DNS records were consulted (the queried names
-// plus every CNAME target traversed), the public addresses matched
-// against the RIB, and the covering (prefix, origin) prefixes validated
-// against the VRP set. The incremental dataset inverts these into its
-// dirty-set indexes; a nil collector keeps the hot path allocation-free.
+// domainKeys records the mutable inputs one domain's measurement
+// depended on: the owner names whose DNS records were consulted (the
+// queried names plus every CNAME target traversed) and the covering
+// (prefix, origin) prefixes validated against the VRP set. The RIB is
+// not recorded because Incremental requires it to stay fixed. The
+// incremental dataset inverts these into its dirty-set indexes; a nil
+// collector keeps the hot path allocation-free.
 type domainKeys struct {
 	hosts    []string
-	addrs    []netip.Addr
 	prefixes []netip.Prefix
 }
 
@@ -305,9 +305,6 @@ func measureVariant(name string, cfg Config, keys *domainKeys) (VariantData, err
 			continue
 		}
 		v.Addrs++
-		if keys != nil {
-			keys.addrs = append(keys.addrs, a)
-		}
 		pairs := cfg.RIB.OriginPairs(a)
 		if len(pairs) == 0 {
 			if !cfg.RIB.Reachable(a) {

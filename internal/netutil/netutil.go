@@ -134,14 +134,6 @@ func IsSpecialPurpose(a netip.Addr) bool {
 	return false
 }
 
-// SpecialPurposePrefixes returns a copy of the registry, for callers that
-// want to display or re-serve it.
-func SpecialPurposePrefixes() []netip.Prefix {
-	out := make([]netip.Prefix, len(specialPurpose))
-	copy(out, specialPurpose)
-	return out
-}
-
 // ComparePrefixes orders prefixes first by family (IPv4 before IPv6),
 // then by address bytes, then by prefix length. It returns -1, 0 or +1
 // and is suitable for sort functions.

@@ -109,15 +109,6 @@ func TestIsSpecialPurpose(t *testing.T) {
 	}
 }
 
-func TestSpecialPurposePrefixesIsCopy(t *testing.T) {
-	a := SpecialPurposePrefixes()
-	a[0] = MustPrefix("1.2.3.0/24")
-	b := SpecialPurposePrefixes()
-	if b[0] == a[0] {
-		t.Error("SpecialPurposePrefixes returned shared backing storage")
-	}
-}
-
 func TestComparePrefixesOrdering(t *testing.T) {
 	in := []netip.Prefix{
 		MustPrefix("2001:db8::/32"),

@@ -4,7 +4,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
+
+// ReadHeaderTimeout bounds how long every daemon's HTTP listener waits
+// for a client's request headers, so a client that connects and never
+// finishes its headers cannot hold a connection open. There is no read
+// or write timeout: /v1/events long-polls.
+const ReadHeaderTimeout = 10 * time.Second
 
 // RegisterPprof mounts the runtime profiling handlers under
 // /debug/pprof/ on mux. Explicit registration (instead of importing
@@ -29,6 +36,7 @@ func ServePprof(addr string) (net.Listener, error) {
 	}
 	mux := http.NewServeMux()
 	RegisterPprof(mux)
-	go http.Serve(ln, mux)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout}
+	go srv.Serve(ln)
 	return ln, nil
 }

@@ -254,17 +254,6 @@ func (t *Tree[V]) CoveringPrefix(p netip.Prefix, dst []Entry[V]) []Entry[V] {
 	return dst
 }
 
-// LongestMatch returns the longest prefix in the tree containing addr.
-func (t *Tree[V]) LongestMatch(addr netip.Addr) (netip.Prefix, V, bool) {
-	var zero V
-	es := t.Covering(addr, nil)
-	if len(es) == 0 {
-		return netip.Prefix{}, zero, false
-	}
-	e := es[len(es)-1]
-	return e.Prefix, e.Value, true
-}
-
 // Entry is a (prefix, value) pair returned by queries.
 type Entry[V any] struct {
 	Prefix netip.Prefix

@@ -143,21 +143,6 @@ func TestCoveringPrefix(t *testing.T) {
 	}
 }
 
-func TestLongestMatch(t *testing.T) {
-	var tr Tree[string]
-	for _, p := range []string{"10.0.0.0/8", "10.1.0.0/16"} {
-		tr.Insert(netutil.MustPrefix(p), p)
-	}
-	p, v, ok := tr.LongestMatch(netutil.MustAddr("10.1.200.3"))
-	if !ok || p.String() != "10.1.0.0/16" || v != "10.1.0.0/16" {
-		t.Errorf("LongestMatch = %v %q %v", p, v, ok)
-	}
-	_, _, ok = tr.LongestMatch(netutil.MustAddr("11.0.0.1"))
-	if ok {
-		t.Error("LongestMatch matched an uncovered address")
-	}
-}
-
 func TestWalkOrderAndSubtree(t *testing.T) {
 	var tr Tree[int]
 	ps := []string{"10.0.0.0/8", "10.0.0.0/16", "10.128.0.0/9", "192.0.2.0/24", "2001:db8::/32"}

@@ -46,7 +46,6 @@ type Table struct {
 	tree     radix.Tree[map[uint16]*Route]
 	routes   int
 	prefixes int
-	hook     func(netip.Prefix)
 }
 
 type peerKey struct {
@@ -101,17 +100,6 @@ func (t *Table) Routes() int {
 	return t.routes
 }
 
-// SetMutationHook registers fn to be called with the canonical prefix
-// of every route inserted or withdrawn (nil disables it). The hook runs
-// with the table lock held, so it must not call back into the table;
-// incremental measurement uses it to mark the domains whose addresses
-// fall under a changed prefix as dirty.
-func (t *Table) SetMutationHook(fn func(netip.Prefix)) {
-	t.mu.Lock()
-	t.hook = fn
-	t.mu.Unlock()
-}
-
 // Insert stores or replaces the route from the given peer.
 func (t *Table) Insert(r Route) error {
 	cp, err := netutil.Canonical(r.Prefix)
@@ -137,9 +125,6 @@ func (t *Table) Insert(r Route) error {
 	}
 	rr := r
 	m[r.PeerIndex] = &rr
-	if t.hook != nil {
-		t.hook(cp)
-	}
 	return nil
 }
 
@@ -164,9 +149,6 @@ func (t *Table) Withdraw(peer uint16, prefix netip.Prefix) bool {
 	if len(m) == 0 {
 		t.tree.Delete(cp)
 		t.prefixes--
-	}
-	if t.hook != nil {
-		t.hook(cp)
 	}
 	return true
 }

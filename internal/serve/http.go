@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/netip"
@@ -13,6 +14,15 @@ import (
 // maxBatchRoutes bounds one POST /v1/validate body; larger batches
 // should be split by the client (loadgen's default is far below this).
 const maxBatchRoutes = 4096
+
+// validateBytesPerRoute is the body budget per batched route. A fully
+// written-out IPv6 prefix with a 10-digit ASN is about 70 bytes of
+// JSON, so this leaves room for indentation.
+const validateBytesPerRoute = 256
+
+// maxValidateBody bounds one POST /v1/validate body, so an oversized
+// batch is refused while it is read rather than after it is decoded.
+const maxValidateBody = maxBatchRoutes * validateBytesPerRoute
 
 // Handler returns the service's HTTP API. Every handler follows the
 // same discipline: load the snapshot pointer once, answer entirely from
@@ -171,9 +181,13 @@ func (s *Service) handleValidatePost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req validateRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxValidateBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -156,6 +156,38 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 }
 
+// TestValidateBodyLimit: a body over maxValidateBody is refused with
+// 413 while it is read; a full batch of maxBatchRoutes routes, each a
+// long IPv6 prefix on its own indented line, still fits.
+func TestValidateBodyLimit(t *testing.T) {
+	h := testService(t).Handler()
+	batch := func(n int, route string) string {
+		var b strings.Builder
+		b.WriteString(`{"routes": [`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteString(",")
+			}
+			b.WriteString(route)
+		}
+		b.WriteString("\n]}")
+		return b.String()
+	}
+	full := batch(maxBatchRoutes, `
+		{"prefix": "2001:db8:ffff:ffff:ffff:ffff:ffff:ff00/120", "asn": 4294967295}`)
+	if rec, resp := do(t, h, "POST", "/v1/validate", full); rec.Code != http.StatusOK {
+		t.Fatalf("%d-route batch (%d bytes): %d %v", maxBatchRoutes, len(full), rec.Code, resp)
+	}
+	padded := `{"prefix": "10.0.0.0/8", "asn": 1}` + strings.Repeat(" ", validateBytesPerRoute)
+	over := batch(maxBatchRoutes+1, padded)
+	if len(over) <= maxValidateBody {
+		t.Fatalf("test body of %d bytes is not over the %d-byte limit", len(over), maxValidateBody)
+	}
+	if rec, resp := do(t, h, "POST", "/v1/validate", over); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: %d %v, want 413", len(over), rec.Code, resp)
+	}
+}
+
 func TestDomainEndpoint(t *testing.T) {
 	s := testService(t)
 	h := s.Handler()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ripki/internal/rpki/vrp"
 	"ripki/internal/rtr"
 	"ripki/internal/sim"
 )
@@ -132,10 +131,4 @@ func (s *Service) RunSim(ctx context.Context, cfg sim.Config, interval time.Dura
 			}
 		}
 	}
-}
-
-// PublishVRPs is a convenience for static sources (a CSV export): it
-// publishes the given payloads under the named source.
-func (s *Service) PublishVRPs(vs []vrp.VRP, source string) (*Snapshot, error) {
-	return s.Publish(vs, source, 0)
 }
