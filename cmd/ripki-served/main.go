@@ -140,9 +140,7 @@ func configure(args []string, stderr io.Writer) (*daemon, error) {
 	} else {
 		initial = world.Validation().VRPs
 	}
-	if _, err := svc.PublishSet(initial, source, 0); err != nil {
-		return nil, err
-	}
+	svc.Publish(initial, source, 0)
 
 	handler := svc.Handler()
 	if *pprofFlag {

@@ -9,7 +9,6 @@ import (
 	"ripki/internal/alexa"
 	"ripki/internal/dns"
 	"ripki/internal/radix"
-	"ripki/internal/rpki/vrp"
 )
 
 // Incremental is a Dataset that stays current under world mutation at a
@@ -90,11 +89,6 @@ func NewIncremental(list *alexa.List, cfg Config) (*Incremental, error) {
 // Dataset returns the current dataset. It is valid until the next
 // Refresh and must be treated as read-only.
 func (inc *Incremental) Dataset() *Dataset { return inc.ds }
-
-// SetVRPs swaps the validation source consulted by subsequent
-// refreshes. It does not mark anything dirty by itself: the caller is
-// responsible for a DirtyVRP per changed prefix.
-func (inc *Incremental) SetVRPs(set *vrp.Set) { inc.cfg.VRPs = set }
 
 // DirtyVRP marks the domains whose measurement validated a pair prefix
 // at q or below — the set a VRP issue/revoke at q can affect.

@@ -61,14 +61,6 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	reg.Remove("cust.fastcdn.wld", dns.TypeCNAME)
 	reg.AddCNAME("cust.fastcdn.wld", "www.secure.example", 60)
 	check("cname repoint")
-
-	// Swap the whole validation source.
-	swapped := set.Clone()
-	swapped.Add(vrp.VRP{Prefix: netutil.MustPrefix("203.0.114.0/24"), MaxLength: 24, ASN: 64500})
-	f.cfg.VRPs = swapped
-	inc.SetVRPs(swapped)
-	inc.DirtyVRP(netutil.MustPrefix("203.0.114.0/24"))
-	check("set swap")
 }
 
 // TestIncrementalRandomInterleavings is the property test behind the

@@ -9,11 +9,12 @@ import (
 	"ripki/internal/netutil"
 )
 
-// The tree is the validation service's hot read path, and Delete (used
-// by live VRP withdrawals) leaves structural nodes behind by design —
-// so Covering/Delete interleavings deserve model-based testing: every
-// operation is mirrored into a plain map and the tree must agree with
-// the brute-force answer afterwards.
+// The tree is the validation service's hot read path, Delete (used by
+// live VRP withdrawals) leaves structural nodes behind by design, and
+// Clone shares nodes copy-on-write — so Covering/Delete/Clone
+// interleavings deserve model-based testing: every operation is
+// mirrored into a plain map per live version and each tree must agree
+// with its own brute-force answer afterwards.
 
 // model is the naive reference: a map of valued canonical prefixes.
 type model map[netip.Prefix]int
@@ -90,78 +91,107 @@ func smallPrefix4(rnd *rand.Rand) netip.Prefix {
 	return p
 }
 
+// version is one live tree with its own model.
+type version struct {
+	tr *Tree[int]
+	m  model
+}
+
+// clone forks a version: the tree by Clone, the model by copy.
+func (v version) clone() version {
+	m := make(model, len(v.m))
+	for p, x := range v.m {
+		m[p] = x
+	}
+	return version{tr: v.tr.Clone(), m: m}
+}
+
+// maxVersions bounds how many live versions a run forks.
+const maxVersions = 4
+
 // TestCoveringDeleteInterleavingsProperty runs randomized
-// insert/delete/re-insert interleavings against the model. Deletes
-// leave structural nodes in place, so re-inserting under a deleted
-// glue node is exactly the shape that needs coverage.
+// insert/delete/re-insert/clone interleavings against the model.
+// Deletes leave structural nodes in place, so re-inserting under a
+// deleted glue node is exactly the shape that needs coverage; clones
+// make every write also prove it leaves the other versions alone.
 func TestCoveringDeleteInterleavingsProperty(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
-		var tr Tree[int]
-		m := model{}
+		vs := []version{{tr: new(Tree[int]), m: model{}}}
 		probes := make([]netip.Addr, 0, 16)
 		for i := 0; i < 16; i++ {
 			probes = append(probes, netip.AddrFrom4([4]byte{byte(10 + rnd.Intn(2)), byte(rnd.Intn(4)), byte(rnd.Intn(4)), byte(rnd.Intn(2))}))
 		}
 		for op := 0; op < 400; op++ {
 			p := smallPrefix4(rnd)
-			switch rnd.Intn(3) {
-			case 0, 1: // insert wins 2:1 so the tree stays populated
-				v := rnd.Intn(1000)
-				if err := tr.Insert(p, v); err != nil {
+			v := vs[rnd.Intn(len(vs))]
+			switch rnd.Intn(7) {
+			case 0, 1, 2, 3: // insert wins 2:1 so the trees stay populated
+				x := rnd.Intn(1000)
+				if err := v.tr.Insert(p, x); err != nil {
 					t.Fatal(err)
 				}
-				m[p] = v
-			case 2:
-				got := tr.Delete(p)
-				_, want := m[p]
+				v.m[p] = x
+			case 4, 5:
+				got := v.tr.Delete(p)
+				_, want := v.m[p]
 				if got != want {
 					t.Fatalf("seed %d op %d: Delete(%v) = %v, model says %v", seed, op, p, got, want)
 				}
-				delete(m, p)
+				delete(v.m, p)
+			case 6:
+				if len(vs) < maxVersions {
+					vs = append(vs, v.clone())
+				}
 			}
 			if op%40 == 39 {
-				checkAgainstModel(t, &tr, m, probes)
+				for _, v := range vs {
+					checkAgainstModel(t, v.tr, v.m, probes)
+				}
 			}
 		}
-		checkAgainstModel(t, &tr, m, probes)
+		for _, v := range vs {
+			checkAgainstModel(t, v.tr, v.m, probes)
+		}
 	}
 }
 
 // FuzzCoveringDelete interprets fuzz bytes as an op sequence over a
-// tiny prefix universe and cross-checks the tree against the model
-// after every query. Run with `go test -fuzz FuzzCoveringDelete`; the
-// seed corpus keeps it meaningful as a plain test.
+// tiny prefix universe and a few cloned versions, and cross-checks the
+// chosen version's tree against its model after every query. Run with
+// `go test -fuzz FuzzCoveringDelete`; the seed corpus keeps it
+// meaningful as a plain test.
 func FuzzCoveringDelete(f *testing.F) {
 	f.Add([]byte{0x00, 0x12, 0x83, 0x45, 0x02, 0x7f})
 	f.Add([]byte{0xff, 0x01, 0x80, 0x81, 0x82, 0x83, 0x84, 0x85})
 	f.Add([]byte("interleave-deletes-with-covering-queries"))
+	f.Add([]byte{0x00, 0x10, 0x01, 0x04, 0x00, 0x00, 0x10, 0x11, 0x02, 0x02, 0x10, 0x01, 0x13, 0x10, 0x01, 0x03, 0x10, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var tr Tree[int]
-		m := model{}
+		vs := []version{{tr: new(Tree[int]), m: model{}}}
 		for i := 0; i+2 < len(data); i += 3 {
 			op, a, b := data[i], data[i+1], data[i+2]
 			bits := int(a) % 25
 			addr := netip.AddrFrom4([4]byte{10, a % 4, b % 4, 0})
 			p, _ := netutil.Canonical(netip.PrefixFrom(addr, bits))
-			switch op % 4 {
+			v := vs[int(op>>4)%len(vs)]
+			switch op % 5 {
 			case 0, 1:
-				v := int(b)
-				if err := tr.Insert(p, v); err != nil {
+				x := int(b)
+				if err := v.tr.Insert(p, x); err != nil {
 					t.Fatal(err)
 				}
-				m[p] = v
+				v.m[p] = x
 			case 2:
-				got := tr.Delete(p)
-				_, want := m[p]
+				got := v.tr.Delete(p)
+				_, want := v.m[p]
 				if got != want {
 					t.Fatalf("Delete(%v) = %v, model says %v", p, got, want)
 				}
-				delete(m, p)
+				delete(v.m, p)
 			case 3:
 				probe := netip.AddrFrom4([4]byte{10, a % 4, b % 4, b % 2})
-				got := tr.Covering(probe, nil)
-				want := m.covering(probe)
+				got := v.tr.Covering(probe, nil)
+				want := v.m.covering(probe)
 				if len(got) != len(want) {
 					t.Fatalf("Covering(%v): %v, model says %v", probe, got, want)
 				}
@@ -170,10 +200,16 @@ func FuzzCoveringDelete(f *testing.F) {
 						t.Fatalf("Covering(%v)[%d] = %v, model says %v", probe, j, got[j], want[j])
 					}
 				}
+			case 4:
+				if len(vs) < maxVersions {
+					vs = append(vs, v.clone())
+				}
 			}
 		}
-		if tr.Len() != len(m) {
-			t.Fatalf("Len = %d, model has %d", tr.Len(), len(m))
+		for _, v := range vs {
+			if v.tr.Len() != len(v.m) {
+				t.Fatalf("Len = %d, model has %d", v.tr.Len(), len(v.m))
+			}
 		}
 	})
 }

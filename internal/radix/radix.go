@@ -9,32 +9,71 @@
 //   - all VRPs that cover a given route prefix (RFC 6811 origin
 //     validation).
 //
-// The trie stores one arbitrary value per canonical prefix. It is not
-// safe for concurrent mutation; wrap it in a lock or use one goroutine.
+// The trie stores one arbitrary value per canonical prefix. Clones are
+// O(1) and copy-on-write: a clone shares every node with its source
+// until one side writes, and a write copies only the nodes on the path
+// it touches. A tree is not safe for concurrent mutation, but any number
+// of goroutines may query it and Clone it at once while nobody writes.
 package radix
 
 import (
 	"fmt"
 	"net/netip"
+	"sync/atomic"
 
 	"ripki/internal/netutil"
 )
 
 // node is a trie node. Internal nodes may carry no value (hasValue
 // false); path compression is achieved by storing full prefixes at nodes
-// and branching on the first bit after the node's prefix length.
+// and branching on the first bit after the node's prefix length. gen is
+// the generation of the tree that created the node: a tree edits a node
+// in place only when the generations match.
 type node[V any] struct {
 	prefix   netip.Prefix
 	value    V
 	hasValue bool
+	gen      uint64
 	child    [2]*node[V]
 }
 
 // Tree is a prefix-keyed radix tree. The zero value is ready to use.
+// A Tree must not be copied by value; use Clone.
 type Tree[V any] struct {
 	root4 *node[V]
 	root6 *node[V]
 	count int
+	gen   atomic.Uint64
+}
+
+// generations hands out tree generations. Every Clone draws two, so no
+// two trees that share a node ever hold the same generation.
+var generations atomic.Uint64
+
+// Clone returns a tree holding the same entries in O(1). Both trees
+// take fresh generations, so every node they share is copied before
+// either side writes it. Values are shared, not copied: a caller whose
+// values are slices or maps must not modify them in place. Clone may
+// run concurrently with queries and other Clones, not with writes.
+func (t *Tree[V]) Clone() *Tree[V] {
+	c := &Tree[V]{root4: t.root4, root6: t.root6, count: t.count}
+	c.gen.Store(generations.Add(1))
+	t.gen.Store(generations.Add(1))
+	return c
+}
+
+// own makes *np a node of this tree's generation, copying it if another
+// tree may still share it, and returns it. The slot np must itself
+// belong to this tree: a root field or the child array of an owned node.
+func (t *Tree[V]) own(np **node[V]) *node[V] {
+	n := *np
+	if gen := t.gen.Load(); n.gen != gen {
+		c := *n
+		c.gen = gen
+		n = &c
+		*np = n
+	}
+	return n
 }
 
 // Len returns the number of prefixes with values in the tree.
@@ -89,49 +128,46 @@ func (t *Tree[V]) Insert(p netip.Prefix, value V) error {
 	if err != nil {
 		return err
 	}
-	rp := t.rootFor(cp)
-	inserted := t.insert(rp, cp, value)
-	if inserted {
-		t.count++
-	}
-	return nil
-}
-
-// insert returns true if a new valued node was created (false if an
-// existing value was replaced).
-func (t *Tree[V]) insert(np **node[V], p netip.Prefix, value V) bool {
-	n := *np
-	if n == nil {
-		*np = &node[V]{prefix: p, value: value, hasValue: true}
-		return true
-	}
-	cb := commonBits(n.prefix.Addr(), p.Addr(), minInt(n.prefix.Bits(), p.Bits()))
-	switch {
-	case cb == n.prefix.Bits() && cb == p.Bits():
-		// Same prefix: replace or set value.
-		created := !n.hasValue
-		n.value, n.hasValue = value, true
-		return created
-	case cb == n.prefix.Bits():
-		// p is longer and inside n: descend.
-		b := bitAfter(p.Addr(), n.prefix.Bits())
-		return t.insert(&n.child[b], p, value)
-	case cb == p.Bits():
-		// p is shorter and covers n: p becomes the parent of n.
-		nn := &node[V]{prefix: p, value: value, hasValue: true}
-		b := bitAfter(n.prefix.Addr(), p.Bits())
-		nn.child[b] = n
-		*np = nn
-		return true
-	default:
-		// Diverge below cb: create a glue node.
-		glue := &node[V]{prefix: netip.PrefixFrom(n.prefix.Addr(), cb).Masked()}
-		nb := bitAfter(n.prefix.Addr(), cb)
-		pb := bitAfter(p.Addr(), cb)
-		glue.child[nb] = n
-		glue.child[pb] = &node[V]{prefix: p, value: value, hasValue: true}
-		*np = glue
-		return true
+	gen := t.gen.Load()
+	leaf := func() *node[V] { return &node[V]{prefix: cp, value: value, hasValue: true, gen: gen} }
+	np := t.rootFor(cp)
+	for {
+		n := *np
+		if n == nil {
+			*np = leaf()
+			t.count++
+			return nil
+		}
+		cb := commonBits(n.prefix.Addr(), cp.Addr(), minInt(n.prefix.Bits(), cp.Bits()))
+		switch {
+		case cb == n.prefix.Bits() && cb == cp.Bits():
+			// Same prefix: replace or set value.
+			n = t.own(np)
+			if !n.hasValue {
+				t.count++
+			}
+			n.value, n.hasValue = value, true
+			return nil
+		case cb == n.prefix.Bits():
+			// cp is longer and inside n: descend.
+			n = t.own(np)
+			np = &n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
+		case cb == cp.Bits():
+			// cp is shorter and covers n: cp becomes the parent of n.
+			nn := leaf()
+			nn.child[bitAfter(n.prefix.Addr(), cp.Bits())] = n
+			*np = nn
+			t.count++
+			return nil
+		default:
+			// Diverge below cb: create a glue node.
+			glue := &node[V]{prefix: netip.PrefixFrom(n.prefix.Addr(), cb).Masked(), gen: gen}
+			glue.child[bitAfter(n.prefix.Addr(), cb)] = n
+			glue.child[bitAfter(cp.Addr(), cb)] = leaf()
+			*np = glue
+			t.count++
+			return nil
+		}
 	}
 }
 
@@ -149,21 +185,27 @@ func (t *Tree[V]) Lookup(p netip.Prefix) (V, bool) {
 	if err != nil {
 		return zero, false
 	}
+	if n := t.find(cp); n != nil && n.hasValue {
+		return n.value, true
+	}
+	return zero, false
+}
+
+// find returns the node at exactly the canonical prefix cp, valued or
+// not, or nil.
+func (t *Tree[V]) find(cp netip.Prefix) *node[V] {
 	n := *t.rootFor(cp)
 	for n != nil {
 		cb := commonBits(n.prefix.Addr(), cp.Addr(), minInt(n.prefix.Bits(), cp.Bits()))
 		if cb < n.prefix.Bits() {
-			return zero, false
+			return nil
 		}
 		if n.prefix.Bits() == cp.Bits() {
-			if n.hasValue {
-				return n.value, true
-			}
-			return zero, false
+			return n
 		}
 		n = n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
 	}
-	return zero, false
+	return nil
 }
 
 // Delete removes the value at exactly prefix p. It reports whether a
@@ -175,24 +217,19 @@ func (t *Tree[V]) Delete(p netip.Prefix) bool {
 	if err != nil {
 		return false
 	}
-	n := *t.rootFor(cp)
-	for n != nil {
-		cb := commonBits(n.prefix.Addr(), cp.Addr(), minInt(n.prefix.Bits(), cp.Bits()))
-		if cb < n.prefix.Bits() {
-			return false
-		}
-		if n.prefix.Bits() == cp.Bits() {
-			if n.hasValue {
-				var zero V
-				n.value, n.hasValue = zero, false
-				t.count--
-				return true
-			}
-			return false
-		}
-		n = n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
+	if n := t.find(cp); n == nil || !n.hasValue {
+		return false
 	}
-	return false
+	// The value is there: take ownership of the path down to it.
+	np := t.rootFor(cp)
+	n := t.own(np)
+	for n.prefix.Bits() != cp.Bits() {
+		n = t.own(&n.child[bitAfter(cp.Addr(), n.prefix.Bits())])
+	}
+	var zero V
+	n.value, n.hasValue = zero, false
+	t.count--
+	return true
 }
 
 // Covering appends to dst every (prefix, value) pair whose prefix

@@ -14,9 +14,10 @@
 package vrp
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sync"
+	"slices"
 
 	"ripki/internal/netutil"
 	"ripki/internal/radix"
@@ -60,16 +61,18 @@ func (v VRP) String() string {
 	return fmt.Sprintf("%v-%d => AS%d", v.Prefix, v.MaxLength, v.ASN)
 }
 
-// Set is a queryable collection of VRPs. It is safe for concurrent
-// readers once built; Add must not race with queries.
+// Set is a queryable collection of VRPs over a copy-on-write radix
+// tree. Queries take no lock: any number of goroutines may query a set,
+// or Clone it, while nobody writes it. Add and Remove must not race
+// with anything; a goroutine that needs to write while others read
+// works on its own Clone, which costs O(1).
 type Set struct {
-	mu    sync.RWMutex
-	tree  radix.Tree[[]VRP]
+	tree  *radix.Tree[[]VRP]
 	count int
 }
 
 // NewSet returns an empty VRP set.
-func NewSet() *Set { return &Set{} }
+func NewSet() *Set { return &Set{tree: new(radix.Tree[[]VRP])} }
 
 // FromVRPs builds a set from a slice. Insertion order does not matter:
 // two sets holding the same triples are indistinguishable (All is
@@ -86,15 +89,24 @@ func FromVRPs(vs []VRP) (*Set, error) {
 
 // Add inserts a VRP. Duplicate triples are ignored.
 func (s *Set) Add(v VRP) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inserted, err := insertVRP(&s.tree, v)
+	cp, err := netutil.Canonical(v.Prefix)
 	if err != nil {
+		return fmt.Errorf("vrp: %w", err)
+	}
+	if v.MaxLength < cp.Bits() || v.MaxLength > netutil.FamilyBits(cp.Addr()) {
+		return fmt.Errorf("vrp: maxLength %d out of range for %v", v.MaxLength, cp)
+	}
+	v.Prefix = cp
+	existing, _ := s.tree.Lookup(cp)
+	if slices.Contains(existing, v) {
+		return nil
+	}
+	// A clone may share existing's backing array, so never append into
+	// its spare capacity.
+	if err := s.tree.Insert(cp, append(slices.Clip(existing), v)); err != nil {
 		return err
 	}
-	if inserted {
-		s.count++
-	}
+	s.count++
 	return nil
 }
 
@@ -107,8 +119,6 @@ func (s *Set) Remove(v VRP) bool {
 		return false
 	}
 	v.Prefix = cp
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	existing, ok := s.tree.Lookup(cp)
 	if !ok {
 		return false
@@ -141,43 +151,20 @@ func (s *Set) Contains(v VRP) bool {
 		return false
 	}
 	v.Prefix = cp
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	existing, _ := s.tree.Lookup(cp)
-	for _, e := range existing {
-		if e == v {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(existing, v)
 }
 
-// Clone returns an independent copy: the original and the clone can be
-// mutated without affecting each other. Delta-maintained truth state
-// (the sim engine, the RTR cache's in-place update path) clones the
-// shared snapshot once and then edits its private copy.
+// Clone returns an independent copy in O(1): the original and the
+// clone can be mutated without affecting each other, and each write
+// copies only the tree path it touches. Clone may be called from many
+// goroutines at once on a set nobody is writing.
 func (s *Set) Clone() *Set {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := NewSet()
-	s.tree.Walk(func(p netip.Prefix, vs []VRP) bool {
-		cp := make([]VRP, len(vs))
-		copy(cp, vs)
-		// Walk yields prefixes that already passed canonicalisation on
-		// the way in, so Insert cannot fail.
-		_ = c.tree.Insert(p, cp)
-		return true
-	})
-	c.count = s.count
-	return c
+	return &Set{tree: s.tree.Clone(), count: s.count}
 }
 
 // Len returns the number of distinct VRPs.
-func (s *Set) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.count
-}
+func (s *Set) Len() int { return s.count }
 
 // Validate classifies the route (prefix, originAS) per RFC 6811.
 func (s *Set) Validate(prefix netip.Prefix, originAS uint32) State {
@@ -192,22 +179,32 @@ func (s *Set) ValidateExplain(prefix netip.Prefix, originAS uint32) (State, []VR
 	if err != nil {
 		return NotFound, nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return classify(s.tree.CoveringPrefix(cp, nil), cp, originAS)
+	entries := s.tree.CoveringPrefix(cp, nil)
+	if len(entries) == 0 {
+		return NotFound, nil
+	}
+	var covering []VRP
+	state := Invalid
+	for _, e := range entries {
+		for _, v := range e.Value {
+			covering = append(covering, v)
+			if v.ASN == originAS && originAS != 0 && cp.Bits() <= v.MaxLength {
+				state = Valid
+			}
+		}
+	}
+	return state, covering
 }
 
 // All returns every VRP, sorted by prefix then maxLength then ASN.
 // The slice is freshly allocated.
 func (s *Set) All() []VRP {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]VRP, 0, s.count)
 	s.tree.Walk(func(_ netip.Prefix, vs []VRP) bool {
 		out = append(out, vs...)
 		return true
 	})
-	sortAll(out)
+	slices.SortFunc(out, Compare)
 	return out
 }
 
@@ -215,8 +212,6 @@ func (s *Set) All() []VRP {
 // used by the CDN study to ask "does this AS appear in the RPKI at
 // all?".
 func (s *Set) HasASN(asn uint32) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	found := false
 	s.tree.Walk(func(_ netip.Prefix, vs []VRP) bool {
 		for _, v := range vs {
@@ -228,6 +223,21 @@ func (s *Set) HasASN(asn uint32) bool {
 		return true
 	})
 	return found
+}
+
+// Compare orders two VRPs by (prefix, maxLength, ASN) — the canonical
+// total order All reports in. It is exported so every other VRP
+// ordering in the tree (the sim engine's truth bookkeeping, the RTR
+// cache's delta records) sorts with the same comparator and cannot
+// drift from All.
+func Compare(a, b VRP) int {
+	if c := netutil.ComparePrefixes(a.Prefix, b.Prefix); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.MaxLength, b.MaxLength); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ASN, b.ASN)
 }
 
 // Diff computes the VRPs to announce and withdraw to transform old into

@@ -20,9 +20,7 @@ type Client struct {
 	sessionID uint16
 	serial    uint32
 	haveState bool
-	records   map[vrp.VRP]bool
-	// live mirrors records as a query-ready vrp.Set, maintained
-	// record-by-record so View never pays a full rebuild.
+	// live is the synchronised VRP state, maintained record by record.
 	live *vrp.Set
 	// changed accumulates the prefixes whose VRP membership moved since
 	// the last TakeDelta — the input for delta-scoped revalidation.
@@ -33,7 +31,6 @@ type Client struct {
 func NewClient(conn net.Conn) *Client {
 	return &Client{
 		conn:    conn,
-		records: make(map[vrp.VRP]bool),
 		live:    vrp.NewSet(),
 		changed: make(map[netip.Prefix]struct{}),
 	}
@@ -62,7 +59,7 @@ func (c *Client) Serial() uint32 {
 func (c *Client) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.records)
+	return c.live.Len()
 }
 
 // Reset performs a full synchronisation (Reset Query) and replaces the
@@ -108,10 +105,9 @@ func (c *Client) readResponse(full bool) error {
 				// follow mark the new membership. The union is a superset
 				// of the true difference — delta consumers revalidate a
 				// little too much rather than too little.
-				for v := range c.records {
+				for _, v := range c.live.All() {
 					c.markLocked(v.Prefix)
 				}
-				c.records = make(map[vrp.VRP]bool)
 				c.live = vrp.NewSet()
 			}
 			c.mu.Unlock()
@@ -146,16 +142,13 @@ func (c *Client) readRecords() error {
 		case *Prefix:
 			c.mu.Lock()
 			if p.Announce {
-				if !c.records[p.VRP] {
-					c.records[p.VRP] = true
-					// records only ever holds VRPs decoded from valid
-					// PDUs, so Add cannot fail.
+				// Decode only yields canonical VRPs with in-range
+				// lengths, so Add cannot fail.
+				if !c.live.Contains(p.VRP) {
 					_ = c.live.Add(p.VRP)
 					c.markLocked(p.VRP.Prefix)
 				}
-			} else if c.records[p.VRP] {
-				delete(c.records, p.VRP)
-				c.live.Remove(p.VRP)
+			} else if c.live.Remove(p.VRP) {
 				c.markLocked(p.VRP.Prefix)
 			}
 			c.mu.Unlock()
@@ -193,20 +186,11 @@ func (c *Client) WaitNotify() (uint32, error) {
 	}
 }
 
-// Set snapshots the current records into a vrp.Set for origin
-// validation. The returned set is an independent copy.
+// Set returns the synchronised VRP set for origin validation. It is
+// the session state itself, not a copy: the next Poll or Reset edits or
+// replaces it, so callers treat it as read-only, fetch it again after
+// each synchronisation, and Clone it (O(1)) to keep a snapshot.
 func (c *Client) Set() *vrp.Set {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.live.Clone()
-}
-
-// View returns the client's live VRP set without copying. Unlike Set,
-// the returned set IS the session state: the next Poll or Reset mutates
-// it in place, so callers must treat it as read-only and re-read the
-// view after each synchronisation (the sim engine swaps it into each
-// router's source at every refresh).
-func (c *Client) View() *vrp.Set {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.live

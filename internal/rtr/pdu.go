@@ -268,14 +268,16 @@ func Decode(buf []byte) (PDU, int, error) {
 		if len(body) < 8 {
 			return nil, 0, fmt.Errorf("rtr: error report too short")
 		}
+		// The length sums are taken in uint64: in uint32 a peer-chosen
+		// length near 2^32 wraps them past the check.
 		encLen := binary.BigEndian.Uint32(body)
-		if uint32(len(body)) < 4+encLen+4 {
+		if uint64(len(body)) < 4+uint64(encLen)+4 {
 			return nil, 0, fmt.Errorf("rtr: error report encapsulation overruns PDU")
 		}
 		enc := append([]byte(nil), body[4:4+encLen]...)
 		rest := body[4+encLen:]
 		textLen := binary.BigEndian.Uint32(rest)
-		if uint32(len(rest)) < 4+textLen {
+		if uint64(len(rest)) < 4+uint64(textLen) {
 			return nil, 0, fmt.Errorf("rtr: error report text overruns PDU")
 		}
 		return &ErrorReport{Code: session, Encapsulated: enc, Text: string(rest[4 : 4+textLen])}, n, nil

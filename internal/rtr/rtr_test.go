@@ -16,8 +16,10 @@ func v(prefix string, maxLen int, asn uint32) vrp.VRP {
 	return vrp.VRP{Prefix: netutil.MustPrefix(prefix), MaxLength: maxLen, ASN: asn}
 }
 
-func TestPDURoundTrips(t *testing.T) {
-	pdus := []PDU{
+// samplePDUs holds one PDU of every type, both prefix families and an
+// error report with and without payload.
+func samplePDUs() []PDU {
+	return []PDU{
 		&SerialNotify{SessionID: 7, Serial: 42},
 		&SerialQuery{SessionID: 7, Serial: 41},
 		&ResetQuery{},
@@ -29,7 +31,10 @@ func TestPDURoundTrips(t *testing.T) {
 		&ErrorReport{Code: ErrCorruptData, Encapsulated: []byte{1, 2, 3}, Text: "bad"},
 		&ErrorReport{Code: ErrNoDataAvailable},
 	}
-	for _, p := range pdus {
+}
+
+func TestPDURoundTrips(t *testing.T) {
+	for _, p := range samplePDUs() {
 		wire := p.SerializeTo(nil)
 		got, n, err := Decode(wire)
 		if err != nil {
@@ -92,6 +97,25 @@ func TestDecodeErrorReportBounds(t *testing.T) {
 	er[8+3] = 0xff // encLen low byte huge
 	if _, _, err := Decode(er); err == nil {
 		t.Error("Decode accepted error report with overrunning encapsulation")
+	}
+}
+
+// errorReportWrapVectors are 16-byte Error Reports whose encapsulation
+// or text length is 0xFFFFFFFC, which wraps a uint32 bounds sum.
+func errorReportWrapVectors() map[string][]byte {
+	return map[string][]byte{
+		"encLen":  {0, TypeErrorReport, 0, 0, 0, 0, 0, 16, 0xff, 0xff, 0xff, 0xfc, 0, 0, 0, 0},
+		"textLen": {0, TypeErrorReport, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xfc},
+	}
+}
+
+// TestDecodeErrorReportLengthWrap: a length that wraps the bounds sum
+// must be rejected, not panic on the slice that follows.
+func TestDecodeErrorReportLengthWrap(t *testing.T) {
+	for name, wire := range errorReportWrapVectors() {
+		if _, _, err := Decode(wire); err == nil {
+			t.Errorf("%s: Decode accepted a wrapping length", name)
+		}
 	}
 }
 

@@ -27,8 +27,7 @@ type Server struct {
 	mu        sync.Mutex
 	sessionID uint16
 	serial    uint32
-	current   *vrp.Set
-	owned     bool             // current is the server's private copy, safe to edit in place
+	current   *vrp.Set         // the server's own clone, edited in place by UpdateDelta
 	deltas    map[uint32]delta // keyed by the serial the delta upgrades FROM
 	maxDeltas int
 	conns     map[net.Conn]struct{}
@@ -38,14 +37,15 @@ type Server struct {
 
 // NewServer creates a cache serving the given VRP set. sessionID
 // identifies this cache incarnation; routers restart their session when
-// it changes.
+// it changes. The server keeps an O(1) clone, so the caller's set is
+// never edited.
 func NewServer(set *vrp.Set, sessionID uint16) *Server {
 	if set == nil {
 		set = vrp.NewSet()
 	}
 	return &Server{
 		sessionID: sessionID,
-		current:   set,
+		current:   set.Clone(),
 		deltas:    make(map[uint32]delta),
 		maxDeltas: 16,
 		conns:     make(map[net.Conn]struct{}),
@@ -63,7 +63,8 @@ func (s *Server) Serial() uint32 {
 // sync, bumps the serial, and sends Serial Notify to connected routers.
 // An update that does not change the set is a no-op: the serial stays
 // put and no notification is sent, so steady-state refresh cycles do
-// not churn serials or wake connected routers.
+// not churn serials or wake connected routers. Like NewServer, Update
+// keeps an O(1) clone of set.
 func (s *Server) Update(set *vrp.Set) {
 	s.mu.Lock()
 	ann, wd := set.Diff(s.current)
@@ -72,8 +73,7 @@ func (s *Server) Update(set *vrp.Set) {
 		return
 	}
 	s.recordDeltaLocked(delta{announce: ann, withdraw: wd})
-	s.current = set
-	s.owned = false
+	s.current = set.Clone()
 	s.notifyLocked()
 }
 
@@ -84,18 +84,11 @@ func (s *Server) Update(set *vrp.Set) {
 // serial bump, no notification, no retained history. The effective
 // delta is recorded in the same canonical order Diff produces
 // (vrp.Compare over the sorted-All ordering), so routers cannot tell
-// the two update paths apart byte-for-byte. The first in-place edit
-// clones the served set — the set handed to NewServer or Update stays
-// the caller's — and subsequent deltas edit the private copy directly.
+// the two update paths apart byte-for-byte. The served set is the
+// server's own clone, so the edits never reach the caller's set.
 func (s *Server) UpdateDelta(announce, withdraw []vrp.VRP) {
 	s.mu.Lock()
 	var ann, wd []vrp.VRP
-	ensureOwned := func() {
-		if !s.owned {
-			s.current = s.current.Clone()
-			s.owned = true
-		}
-	}
 	for _, v := range announce {
 		cp, err := netutil.Canonical(v.Prefix)
 		if err != nil {
@@ -105,7 +98,6 @@ func (s *Server) UpdateDelta(announce, withdraw []vrp.VRP) {
 		if s.current.Contains(v) {
 			continue
 		}
-		ensureOwned()
 		if s.current.Add(v) != nil {
 			continue
 		}
@@ -117,10 +109,6 @@ func (s *Server) UpdateDelta(announce, withdraw []vrp.VRP) {
 			continue
 		}
 		v.Prefix = cp
-		if !s.current.Contains(v) {
-			continue
-		}
-		ensureOwned()
 		if !s.current.Remove(v) {
 			continue
 		}

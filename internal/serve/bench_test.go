@@ -18,9 +18,7 @@ import (
 func BenchmarkServeValidate(b *testing.B) {
 	w, dt := testSetup(b)
 	s := New(dt)
-	if _, err := s.PublishSet(w.Validation().VRPs, "world", 0); err != nil {
-		b.Fatal(err)
-	}
+	s.Publish(w.Validation().VRPs, "world", 0)
 	// A fixed route mix: every VRP probed at its own origin (valid), at
 	// a wrong origin (invalid), and a rotation of uncovered prefixes
 	// (notfound) — the classifier's three paths in one loop.
@@ -116,10 +114,7 @@ func megaService(b *testing.B) *Service {
 			return
 		}
 		s := New(dt)
-		if _, err := s.PublishSet(w.Validation().VRPs, "world", 0); err != nil {
-			megaErr = err
-			return
-		}
+		s.Publish(w.Validation().VRPs, "world", 0)
 		megaSvc = s
 	})
 	if megaErr != nil {

@@ -287,14 +287,14 @@ func (t *DomainTable) lookup(name string) (int32, bool) {
 }
 
 // exposure aggregates the table's per-domain www state probabilities
-// against a VRP index, in measure.Snapshot's terms: mean valid /
+// against a VRP set, in measure.Snapshot's terms: mean valid /
 // invalid / notfound / coverage plus the head-vs-tail protection split
 // the paper's figures revolve around. Each unique route is validated
 // once up front; the per-domain pass is then pure array arithmetic —
 // O(routes + domains) instead of O(domains × pairs) trie walks.
 // Writers call it once per publish; snapshots serve the precomputed
 // value.
-func (t *DomainTable) exposure(ix *vrp.Index) measure.ExposureSnapshot {
+func (t *DomainTable) exposure(ix *vrp.Set) measure.ExposureSnapshot {
 	var snap measure.ExposureSnapshot
 	states := make([]vrp.State, len(t.routes))
 	for id, po := range t.routes {

@@ -88,9 +88,7 @@ func TestEventsEndpoint(t *testing.T) {
 		done <- body
 	}()
 	time.Sleep(50 * time.Millisecond)
-	if _, err := s.PublishSet(testWorld.Validation().VRPs, "world", 1); err != nil {
-		t.Fatal(err)
-	}
+	s.Publish(testWorld.Validation().VRPs, "world", 1)
 	select {
 	case body := <-done:
 		events := body["events"].([]any)
@@ -213,9 +211,7 @@ func TestHealthzDegradedOnStaleness(t *testing.T) {
 	}
 
 	// A fresh publish from the live source clears the degradation.
-	if _, err := s.PublishSet(testWorld.Validation().VRPs, "rtr", 2); err != nil {
-		t.Fatal(err)
-	}
+	s.Publish(testWorld.Validation().VRPs, "rtr", 2)
 	rec, body = do(t, h, "GET", "/healthz", "")
 	if rec.Code != http.StatusOK || body["status"] != "ok" {
 		t.Fatalf("post-publish healthz: %d %v", rec.Code, body)

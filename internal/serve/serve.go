@@ -7,10 +7,11 @@
 // The design centre is an immutable, versioned query snapshot published
 // through an atomic pointer:
 //
-//   - a Snapshot bundles a lock-free VRP index (vrp.Index over
-//     internal/radix), the domain→prefix exposure table derived from
-//     the webworld via the measurement pipeline's resolution rules, and
-//     a monotonically increasing serial;
+//   - a Snapshot bundles an O(1) copy-on-write clone of the source's
+//     vrp.Set (nothing writes it after publish, so queries take no
+//     lock), the domain→prefix exposure table derived from the webworld
+//     via the measurement pipeline's resolution rules, and a
+//     monotonically increasing serial;
 //   - writers (an RTR client session against a cache, an in-process
 //     sim scenario, or a direct Publish call) build a fresh Snapshot
 //     and swap the pointer — they never mutate a published one;
@@ -86,8 +87,9 @@ type Snapshot struct {
 	// SourceSerial is the source's own version (RTR cache serial, sim
 	// tick), informational.
 	SourceSerial uint32
-	// Index is the lock-free VRP index answering RFC 6811 queries.
-	Index *vrp.Index
+	// Index is the snapshot's own clone of the published VRP set,
+	// answering RFC 6811 queries. Nothing writes it after publish.
+	Index *vrp.Set
 	// Domains is the domain exposure table (shared across snapshots —
 	// DNS and RIB state is VRP-independent).
 	Domains *DomainTable
@@ -264,9 +266,7 @@ func NewFromWorld(w *webworld.World) (*Service, error) {
 		return nil, err
 	}
 	s := New(dt)
-	if _, err := s.PublishSet(w.Validation().VRPs, "world", 0); err != nil {
-		return nil, err
-	}
+	s.Publish(w.Validation().VRPs, "world", 0)
 	return s, nil
 }
 
@@ -274,14 +274,11 @@ func NewFromWorld(w *webworld.World) (*Service, error) {
 // first publish. It is safe from any goroutine and takes no lock.
 func (s *Service) Current() *Snapshot { return s.snap.Load() }
 
-// Publish builds an immutable snapshot from the given VRPs and swaps
-// it in, bumping the serial. The VRP slice is copied into a fresh
-// index; the caller may reuse it afterwards.
-func (s *Service) Publish(vs []vrp.VRP, source string, sourceSerial uint32) (*Snapshot, error) {
-	ix, err := vrp.NewIndex(vs)
-	if err != nil {
-		return nil, fmt.Errorf("serve: building index: %w", err)
-	}
+// Publish builds an immutable snapshot over an O(1) clone of set and
+// swaps it in, bumping the serial. The caller may keep editing set
+// afterwards; the snapshot does not see those edits.
+func (s *Service) Publish(set *vrp.Set, source string, sourceSerial uint32) *Snapshot {
+	ix := set.Clone()
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	s.serial++
@@ -305,10 +302,5 @@ func (s *Service) Publish(vs []vrp.VRP, source string, sourceSerial uint32) (*Sn
 			"vrps":          fmt.Sprintf("%d", ix.Len()),
 		},
 	})
-	return sn, nil
-}
-
-// PublishSet is Publish from a vrp.Set.
-func (s *Service) PublishSet(set *vrp.Set, source string, sourceSerial uint32) (*Snapshot, error) {
-	return s.Publish(set.All(), source, sourceSerial)
+	return sn
 }

@@ -41,9 +41,7 @@ func testService(t testing.TB) *Service {
 	t.Helper()
 	w, dt := testSetup(t)
 	s := New(dt)
-	if _, err := s.PublishSet(w.Validation().VRPs, "world", 0); err != nil {
-		t.Fatal(err)
-	}
+	s.Publish(w.Validation().VRPs, "world", 0)
 	return s
 }
 
@@ -77,9 +75,7 @@ func TestHealthzLifecycle(t *testing.T) {
 	if rec, _ := do(t, h, "GET", "/v1/snapshot", ""); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("pre-publish snapshot: %d", rec.Code)
 	}
-	if _, err := s.PublishSet(testWorld.Validation().VRPs, "world", 0); err != nil {
-		t.Fatal(err)
-	}
+	s.Publish(testWorld.Validation().VRPs, "world", 0)
 	rec, body = do(t, h, "GET", "/healthz", "")
 	if rec.Code != http.StatusOK || body["status"] != "ok" || body["serial"].(float64) != 1 {
 		t.Fatalf("post-publish healthz: %d %v", rec.Code, body)
@@ -317,9 +313,7 @@ func TestSnapshotEndpointAndExposure(t *testing.T) {
 
 	// Publishing an empty VRP set drives coverage to zero and bumps the
 	// serial — the exposure is truly per-snapshot.
-	if _, err := s.Publish(nil, "csv", 0); err != nil {
-		t.Fatal(err)
-	}
+	s.Publish(vrp.NewSet(), "csv", 0)
 	_, body = do(t, h, "GET", "/v1/snapshot", "")
 	if body["serial"].(float64) != 2 || body["source"] != "csv" {
 		t.Fatalf("second snapshot: %v", body)
@@ -381,9 +375,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// A second source appears with its own staleness gauge; the snapshot
 	// gauges follow the new publish.
-	if _, err := s.Publish(nil, "csv", 7); err != nil {
-		t.Fatal(err)
-	}
+	s.Publish(vrp.NewSet(), "csv", 7)
 	body = scrape(t, h)
 	for _, want := range []string{
 		"ripki_serve_snapshot_serial 2",
@@ -466,9 +458,7 @@ func rawGet(t testing.TB, h http.Handler, target, ifNoneMatch string) *httptest.
 func TestETagConditionalRequests(t *testing.T) {
 	w, dt := testSetup(t)
 	s := New(dt)
-	if _, err := s.PublishSet(w.Validation().VRPs, "world", 0); err != nil {
-		t.Fatal(err)
-	}
+	s.Publish(w.Validation().VRPs, "world", 0)
 	h := s.Handler()
 	name := dt.Listing(1, 0)[0].Name
 
@@ -505,9 +495,7 @@ func TestETagConditionalRequests(t *testing.T) {
 
 	// Publishing invalidates: the old tag no longer matches and the new
 	// response carries the bumped serial.
-	if _, err := s.Publish(nil, "csv", 0); err != nil {
-		t.Fatal(err)
-	}
+	s.Publish(vrp.NewSet(), "csv", 0)
 	rec := rawGet(t, h, "/v1/snapshot", `"1"`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stale tag after publish: code %d, want 200", rec.Code)

@@ -33,9 +33,7 @@ func (s *Service) RunRTR(ctx context.Context, addr string) error {
 	if err := client.Reset(); err != nil {
 		return s.sourceErr(ctx, fmt.Errorf("serve: initial RTR sync: %w", err))
 	}
-	if _, err := s.PublishSet(client.Set(), "rtr", client.Serial()); err != nil {
-		return err
-	}
+	s.Publish(client.Set(), "rtr", client.Serial())
 	for {
 		if _, err := client.WaitNotify(); err != nil {
 			return s.sourceErr(ctx, fmt.Errorf("serve: RTR notify: %w", err))
@@ -43,9 +41,7 @@ func (s *Service) RunRTR(ctx context.Context, addr string) error {
 		if err := client.Poll(); err != nil {
 			return s.sourceErr(ctx, fmt.Errorf("serve: RTR poll: %w", err))
 		}
-		if _, err := s.PublishSet(client.Set(), "rtr", client.Serial()); err != nil {
-			return err
-		}
+		s.Publish(client.Set(), "rtr", client.Serial())
 	}
 }
 
@@ -98,14 +94,8 @@ func (s *Service) RunSim(ctx context.Context, cfg sim.Config, interval time.Dura
 	// happens — Step runs the recorder synchronously, so incidents
 	// precede the snapshot publish that makes their effects queryable.
 	sm.AttachIncidents(func(in sim.Incident) { s.appendEvent(feedIncident(in)) })
-	publish := func() error {
-		_, err := s.PublishSet(sm.TruthSet(), "sim", uint32(sm.Tick()))
-		return err
-	}
 	last := sm.TruthGen()
-	if err := publish(); err != nil {
-		return err
-	}
+	s.Publish(sm.TruthSet(), "sim", uint32(sm.Tick()))
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -126,9 +116,7 @@ func (s *Service) RunSim(ctx context.Context, cfg sim.Config, interval time.Dura
 		// identity would miss changes).
 		if gen := sm.TruthGen(); gen != last {
 			last = gen
-			if err := publish(); err != nil {
-				return err
-			}
+			s.Publish(sm.TruthSet(), "sim", uint32(sm.Tick()))
 		}
 	}
 }

@@ -76,22 +76,19 @@ type Simulation struct {
 	RPs    []*RP
 	Series *TimeSeries
 
-	scenario   Scenario
-	truth      map[vrp.VRP]bool
-	truthCache *vrp.Set // memoised TruthSet; nil after a mutation (full mode only)
-	truthGen   uint64   // bumped on every truth mutation; see TruthGen
-	dirty      bool
-	outage     bool // cold cache restart in progress: no flushes
+	scenario Scenario
+	truth    *vrp.Set // this run's clone of the world's validated VRPs
+	truthGen uint64   // bumped on every truth mutation; see TruthGen
+	dirty    bool
+	outage   bool // cold cache restart in progress: no flushes
 
 	// Incremental-mode state. incremental is the default; with it on,
-	// truthCache is maintained by delta-apply (clone-on-write out of the
-	// world's shared snapshot, then in-place edits), pending accumulates
-	// the VRPs touched since the last flush so the cache can be updated
-	// by delta, needFull forces the next flush onto the full-set path
-	// after a cold restart emptied the cache, and inc is the probe's
-	// incremental dataset (built lazily at the first probe).
+	// pending accumulates the VRPs touched since the last flush so the
+	// cache can be updated by delta, needFull forces the next flush onto
+	// the full-set path after a cold restart emptied the cache, and inc
+	// is the probe's incremental dataset (built lazily at the first
+	// probe).
 	incremental bool
-	truthOwned  bool
 	needFull    bool
 	pending     map[vrp.VRP]bool // desired membership of touched VRPs
 	inc         *measure.Incremental
@@ -133,12 +130,8 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	// Memoized per generated world: clones of a shared world (sweep's
 	// shared-world mode) pay certificate-path validation once, not per
-	// cell. The per-run truth map below is this run's own mutable copy.
+	// cell. The run's truth is its own O(1) clone of that set.
 	validation := world.Validation()
-	truth := make(map[vrp.VRP]bool)
-	for _, v := range validation.VRPs.All() {
-		truth[v] = true
-	}
 
 	s := &Simulation{
 		Cfg:         cfg,
@@ -147,8 +140,7 @@ func New(cfg Config) (*Simulation, error) {
 		Queue:       NewQueue(),
 		Bus:         NewBus(),
 		scenario:    scenario,
-		truth:       truth,
-		truthCache:  validation.VRPs,
+		truth:       validation.VRPs.Clone(),
 		incremental: !cfg.DisableIncremental,
 		pending:     make(map[vrp.VRP]bool),
 		start:       world.MeasureTime(),
@@ -438,40 +430,21 @@ func (s *Simulation) Publish(topic Topic, detail string, data any) {
 }
 
 // HasVRP reports whether the ground truth currently contains v.
-func (s *Simulation) HasVRP(v vrp.VRP) bool { return s.truth[v] }
+func (s *Simulation) HasVRP(v vrp.VRP) bool { return s.truth.Contains(v) }
 
 // TruthVRPs returns the ground-truth VRPs, sorted.
-func (s *Simulation) TruthVRPs() []vrp.VRP {
-	out := make([]vrp.VRP, 0, len(s.truth))
-	for v := range s.truth {
-		out = append(out, v)
-	}
-	sortVRPs(out)
-	return out
-}
+func (s *Simulation) TruthVRPs() []vrp.VRP { return s.truth.All() }
 
-// TruthSet returns the ground truth as a queryable set, memoised
-// between mutations. The returned set must be treated as read-only; in
-// incremental mode it is additionally live — later truth mutations
-// edit it in place rather than producing a fresh set — so callers that
-// need a frozen view must Clone it, and callers that need to detect
-// change must compare TruthGen values, not pointers.
-func (s *Simulation) TruthSet() *vrp.Set {
-	if s.truthCache == nil {
-		set, err := vrp.FromVRPs(s.TruthVRPs())
-		if err != nil {
-			s.fail(err)
-			return vrp.NewSet()
-		}
-		s.truthCache = set
-	}
-	return s.truthCache
-}
+// TruthSet returns the ground truth as a queryable set. The set is
+// live — later truth mutations edit it in place — so callers must
+// treat it as read-only, Clone it (O(1)) for a frozen view, and compare
+// TruthGen values, not pointers, to detect change.
+func (s *Simulation) TruthSet() *vrp.Set { return s.truth }
 
 // TruthGen is a generation counter bumped on every ground-truth
 // mutation. It is the change-detection contract for TruthSet: the
-// incremental engine maintains the set by in-place delta-apply, so the
-// pointer stays stable across mutations and only the generation moves.
+// engine edits the set in place, so the pointer stays stable across
+// mutations and only the generation moves.
 func (s *Simulation) TruthGen() uint64 { return s.truthGen }
 
 // ROAData is the typed payload on TopicROA events: the VRP that moved,
@@ -485,58 +458,38 @@ type ROAData struct {
 // IssueVRP adds a validated ROA payload to the ground truth; the change
 // reaches relying parties at the next flush + their next refresh.
 func (s *Simulation) IssueVRP(v vrp.VRP, detail string) {
-	if s.truth[v] {
+	if s.truth.Contains(v) {
 		return
 	}
-	s.truth[v] = true
+	if err := s.truth.Add(v); err != nil {
+		s.fail(fmt.Errorf("sim: issuing %v: %w", v, err))
+		return
+	}
 	s.dirty = true
 	s.truthGen++
 	if s.incremental {
-		s.ensureTruthOwned()
-		if err := s.truthCache.Add(v); err != nil {
-			s.fail(fmt.Errorf("sim: issuing %v: %w", v, err))
-			return
-		}
 		s.pending[v] = true
 		if s.inc != nil {
 			s.inc.DirtyVRP(v.Prefix)
 		}
-	} else {
-		s.truthCache = nil
 	}
 	s.Publish(TopicROA, fmt.Sprintf("issue %v (%s)", v, detail), ROAData{VRP: v, Reason: detail})
 }
 
 // RevokeVRP removes a payload from the ground truth.
 func (s *Simulation) RevokeVRP(v vrp.VRP, detail string) {
-	if !s.truth[v] {
+	if !s.truth.Remove(v) {
 		return
 	}
-	delete(s.truth, v)
 	s.dirty = true
 	s.truthGen++
 	if s.incremental {
-		s.ensureTruthOwned()
-		s.truthCache.Remove(v)
 		s.pending[v] = false
 		if s.inc != nil {
 			s.inc.DirtyVRP(v.Prefix)
 		}
-	} else {
-		s.truthCache = nil
 	}
 	s.Publish(TopicROA, fmt.Sprintf("revoke %v (%s)", v, detail), ROAData{VRP: v, Revoke: true, Reason: detail})
-}
-
-// ensureTruthOwned makes truthCache this run's private copy. It starts
-// out aliasing the world's memoised validation set (shared across sweep
-// cells) and the set handed to the RTR server, so the first delta-apply
-// must clone before editing in place.
-func (s *Simulation) ensureTruthOwned() {
-	if !s.truthOwned {
-		s.truthCache = s.truthCache.Clone()
-		s.truthOwned = true
-	}
 }
 
 // routeEvent builds a collector route event from the first vantage peer.
@@ -683,19 +636,12 @@ func (s *Simulation) flush() {
 		slices.SortFunc(wd, vrp.Compare)
 		s.Server.UpdateDelta(ann, wd)
 	} else {
-		set := s.TruthSet()
-		if s.incremental {
-			// The server retains the set it is handed while the
-			// engine's copy keeps being edited in place, so hand over a
-			// snapshot.
-			set = set.Clone()
-		}
-		s.Server.Update(set)
+		s.Server.Update(s.truth)
 		s.needFull = false
 	}
 	clear(s.pending)
 	s.dirty = false
-	vrps := s.TruthSet().Len()
+	vrps := s.truth.Len()
 	s.Publish(TopicRTR, fmt.Sprintf("flush serial=%d vrps=%d", s.Server.Serial(), vrps),
 		FlushData{Serial: s.Server.Serial(), VRPs: vrps})
 }
@@ -751,12 +697,10 @@ func (s *Simulation) refreshDue() {
 			return
 		}
 		var res router.RevalidationResult
+		rp.source.set = rp.Client.Set()
 		if s.incremental {
-			changed := rp.Client.TakeDelta()
-			rp.source.set = rp.Client.View()
-			res = rp.Router.RevalidateAffected(changed)
+			res = rp.Router.RevalidateAffected(rp.Client.TakeDelta())
 		} else {
-			rp.source.set = rp.Client.Set()
 			res = rp.Router.Revalidate()
 		}
 		outs[i] = outcome{serial: rp.Client.Serial(), vrps: rp.Client.Len(), dropped: res.Dropped}
@@ -820,7 +764,6 @@ func (s *Simulation) probe() {
 			}
 			s.inc = inc
 		} else {
-			s.inc.SetVRPs(s.TruthSet())
 			if err := s.inc.Refresh(); err != nil {
 				s.fail(fmt.Errorf("sim: probe: %w", err))
 				return
@@ -841,7 +784,7 @@ func (s *Simulation) probe() {
 		s.T().Seconds(),
 		float64(s.tick),
 		float64(s.Server.Serial()),
-		float64(len(s.truth)),
+		float64(s.truth.Len()),
 	}
 	// The per-RP columns — synced payload counts, then hijack-forward
 	// outcomes — fan out across the worker pool into index-addressed
@@ -888,7 +831,7 @@ func (s *Simulation) probe() {
 		SampleData{
 			Tick:     s.tick,
 			Serial:   s.Server.Serial(),
-			VRPs:     len(s.truth),
+			VRPs:     s.truth.Len(),
 			Valid:    snap.Valid,
 			Invalid:  snap.Invalid,
 			NotFound: snap.NotFound,
@@ -903,15 +846,9 @@ func (s *Simulation) measureConfig() measure.Config {
 	return measure.Config{
 		Resolver: dns.RegistryResolver{Registry: s.World.Registry},
 		RIB:      s.World.RIB,
-		VRPs:     s.TruthSet(),
+		VRPs:     s.truth,
 		BinWidth: s.headCut,
 	}
-}
-
-// sortVRPs orders VRPs with vrp.Compare — the same total order
-// vrp.Set.All uses, shared so the two orderings cannot drift.
-func sortVRPs(vs []vrp.VRP) {
-	slices.SortFunc(vs, vrp.Compare)
 }
 
 // RunScenario is the one-call entry point: build, run, close, return the

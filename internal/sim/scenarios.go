@@ -564,19 +564,9 @@ func (o *taOutage) anchorTruth(s *Simulation, name string) []vrp.VRP {
 // RPKI is whole but NotFound once the anchor's subtree is gone — i.e.
 // covered only by a tightly signed VRP the outage removes.
 func (o *taOutage) outageTarget(s *Simulation, lost []vrp.VRP) (netip.Prefix, netip.Addr, error) {
-	remaining := make([]vrp.VRP, 0, len(s.truth))
-	gone := make(map[vrp.VRP]bool, len(lost))
+	rest := s.TruthSet().Clone()
 	for _, v := range lost {
-		gone[v] = true
-	}
-	for _, v := range s.TruthVRPs() {
-		if !gone[v] {
-			remaining = append(remaining, v)
-		}
-	}
-	rest, err := vrp.FromVRPs(remaining)
-	if err != nil {
-		return netip.Prefix{}, netip.Addr{}, err
+		rest.Remove(v)
 	}
 	for _, v := range lost {
 		if !v.Prefix.Addr().Is4() || v.MaxLength != v.Prefix.Bits() || v.Prefix.Bits() > 28 {

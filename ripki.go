@@ -443,8 +443,6 @@ type (
 	// ServeDomainVerdict is a per-domain exposure verdict (both name
 	// variants, strict-filtering reachability).
 	ServeDomainVerdict = serve.DomainVerdict
-	// VRPIndex is the immutable, lock-free counterpart of a VRP set.
-	VRPIndex = vrp.Index
 )
 
 // NewServeService builds a query service from a generated world: the
@@ -460,6 +458,3 @@ func NewServeService(w *World) (*ServeService, error) { return serve.NewFromWorl
 func (s *Study) ServeStudy() (*ServeService, error) {
 	return serve.NewFromWorld(s.World)
 }
-
-// NewVRPIndex freezes VRPs into a lock-free query index.
-func NewVRPIndex(vs []VRP) (*VRPIndex, error) { return vrp.NewIndex(vs) }
